@@ -53,7 +53,7 @@ def _build_causal_order(history: History) -> tuple[list[Operation], dict[int, se
     # Per-key version order between writes.
     for key in history.keys:
         key_writes = sorted(
-            (op for op in ops if op.is_write and op.key == key),
+            (op for op in history.by_key(key) if op.is_write and op.completed),
             key=lambda op: op.version,
         )
         for earlier, later in zip(key_writes, key_writes[1:]):

@@ -7,8 +7,10 @@ latest preceding write.  Unlike linearizability it is **not local** —
 keys cannot be checked independently — so the search interleaves whole
 sessions and tracks the register state of every key at once.
 
-Exact checking is exponential; the memoized DFS below is fine for the
-history sizes the experiments produce (E11 charts the growth).
+Exact checking is exponential; the memoized depth-first search below
+(an explicit stack, so session length is not bounded by Python's
+recursion limit) is fine for the history sizes the experiments produce
+(E11 charts the growth).
 """
 
 from __future__ import annotations
@@ -26,20 +28,11 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
     if not sessions:
         return verdict
 
-    seen: set[tuple] = set()
-    budget = [max_states]
+    lengths = tuple(len(ops) for ops in sessions)
 
-    def dfs(positions: tuple[int, ...], versions: tuple) -> bool:
-        if all(
-            position == len(session)
-            for position, session in zip(positions, sessions)
-        ):
-            return True
-        state = (positions, versions)
-        if state in seen or budget[0] <= 0:
-            return False
-        budget[0] -= 1
-        seen.add(state)
+    def successors(positions: tuple[int, ...], versions: tuple):
+        """States reachable by running one session's next op, in
+        session order."""
         version_map = dict(versions)
         for index, session in enumerate(sessions):
             position = positions[index]
@@ -51,19 +44,35 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
             )
             if op.is_read:
                 if version_map.get(op.key, 0) == op.version:
-                    if dfs(next_positions, versions):
-                        return True
+                    yield next_positions, versions
             else:
                 new_map = dict(version_map)
                 new_map[op.key] = op.version
-                new_versions = tuple(sorted(new_map.items(), key=lambda kv: repr(kv)))
-                if dfs(next_positions, new_versions):
-                    return True
-        return False
+                yield next_positions, tuple(
+                    sorted(new_map.items(), key=lambda kv: repr(kv)))
 
-    ok = dfs(tuple(0 for _ in sessions), ())
+    # Depth-first over an explicit stack of successor generators; a
+    # state is expanded at most once and each expansion spends one unit
+    # of budget.
+    seen: set[tuple] = set()
+    budget = max_states
+    ok = False
+    stack = [iter([(tuple(0 for _ in sessions), ())])]
+    while stack and not ok:
+        for state in stack[-1]:
+            if state[0] == lengths:
+                ok = True
+                break
+            if state not in seen and budget > 0:
+                budget -= 1
+                seen.add(state)
+                stack.append(successors(*state))
+                break
+        else:
+            stack.pop()
+
     if not ok:
-        if budget[0] <= 0:
+        if budget <= 0:
             verdict.add(
                 f"undecided — state budget exhausted ({max_states} states)"
             )

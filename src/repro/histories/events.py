@@ -107,6 +107,9 @@ class History:
         self._ops: tuple[Operation, ...] = tuple(
             sorted(operations, key=lambda op: (op.start, op.op_id))
         )
+        # key -> ops and session -> completed ops, built on first use.
+        self._key_index: dict[Hashable, list[Operation]] | None = None
+        self._session_index: dict[Hashable, list[Operation]] | None = None
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Operation]:
@@ -131,28 +134,42 @@ class History:
     def completed(self) -> list[Operation]:
         return [op for op in self._ops if op.completed]
 
+    def _build_indexes(self) -> None:
+        """Group ops by key and by session in one pass.
+
+        ``_ops`` is sorted by ``(start, op_id)``, so every group keeps
+        that order; a session whose ops all failed gets an empty group."""
+        by_key: dict[Hashable, list[Operation]] = {}
+        by_session: dict[Hashable, list[Operation]] = {}
+        for op in self._ops:
+            by_key.setdefault(op.key, []).append(op)
+            session_ops = by_session.setdefault(op.session, [])
+            if op.end is not None:
+                session_ops.append(op)
+        self._key_index, self._session_index = by_key, by_session
+
     def by_session(self, session: Hashable) -> list[Operation]:
         """Completed ops of one session, in session (program) order."""
-        ops = [op for op in self._ops if op.session == session and op.completed]
-        ops.sort(key=lambda op: (op.start, op.op_id))
-        return ops
+        if self._session_index is None:
+            self._build_indexes()
+        return list(self._session_index.get(session, ()))
 
     @property
     def sessions(self) -> list[Hashable]:
-        seen: dict[Hashable, None] = {}
-        for op in self._ops:
-            seen.setdefault(op.session)
-        return list(seen)
+        if self._session_index is None:
+            self._build_indexes()
+        return list(self._session_index)
 
     def by_key(self, key: Hashable) -> list[Operation]:
-        return [op for op in self._ops if op.key == key]
+        if self._key_index is None:
+            self._build_indexes()
+        return list(self._key_index.get(key, ()))
 
     @property
     def keys(self) -> list[Hashable]:
-        seen: dict[Hashable, None] = {}
-        for op in self._ops:
-            seen.setdefault(op.key)
-        return list(seen)
+        if self._key_index is None:
+            self._build_indexes()
+        return list(self._key_index)
 
     def reads(self) -> list[Operation]:
         return [op for op in self._ops if op.is_read and op.completed]
@@ -163,10 +180,9 @@ class History:
     def latest_version_before(self, key: Hashable, time: float) -> int:
         """Highest version of ``key`` whose write completed by ``time``."""
         best = 0
-        for op in self._ops:
+        for op in self.by_key(key):
             if (
                 op.is_write
-                and op.key == key
                 and op.completed
                 and op.end <= time
                 and op.version > best

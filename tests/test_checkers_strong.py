@@ -1,5 +1,7 @@
 """Tests for linearizability, sequential, and causal checkers."""
 
+import sys
+
 from repro.checkers import (
     check_causal,
     check_linearizability,
@@ -169,6 +171,24 @@ def test_seq_monotonic_read_sequences_ok():
 
 def test_seq_empty_history_ok():
     assert check_sequential(History()).ok
+
+
+def test_seq_long_session_needs_no_recursion():
+    # One session of 3,000 ops is a 3,000-deep search path; it must not
+    # need more than CPython's default recursion limit.
+    ops = []
+    for i in range(1_500):
+        ops.append(make_write("k", i + 1, session="s", start=4 * i,
+                              end=4 * i + 1))
+        ops.append(make_read("k", i + 1, session="s", start=4 * i + 2,
+                             end=4 * i + 3))
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        verdict = check_sequential(History(ops))
+    finally:
+        sys.setrecursionlimit(previous)
+    assert verdict.ok and verdict.checked_ops == 3_000
 
 
 # ----------------------------------------------------------------------

@@ -93,3 +93,47 @@ def test_recorder_replica_override_on_complete():
     handle = recorder.begin("read", "k", "s1", replica="guess")
     op = recorder.complete(handle, version=1, replica="actual")
     assert op.replica == "actual"
+
+
+def test_indexed_views_keep_start_then_op_id_order():
+    # Ties on start are broken by op_id, whatever the input order.
+    ops = [
+        make_write("a", 1, session="s1", start=3, end=4),
+        make_read("a", 1, session="s1", start=1, end=2),
+        make_write("a", 2, session="s1", start=1, end=5),
+        make_read("b", 0, session="s2", start=1, end=None),
+        make_read("b", 0, session="s1", start=0, end=1),
+    ]
+    h = History(reversed(ops))
+    in_order = sorted(ops, key=lambda op: (op.start, op.op_id))
+    assert h.by_key("a") == [op for op in in_order if op.key == "a"]
+    assert h.by_key("b") == [op for op in in_order if op.key == "b"]
+    assert h.by_session("s1") == [op for op in in_order if op.session == "s1"]
+    assert h.by_session("s2") == []      # its only op never completed
+    assert h.sessions == ["s1", "s2"]
+    assert h.keys == ["b", "a"]
+    assert h.by_key("missing") == [] and h.by_session("missing") == []
+
+
+def test_indexed_views_return_fresh_lists():
+    h = History([
+        make_write("k", 1, session="s", start=0, end=1),
+        make_read("k", 1, session="s", start=2, end=3),
+    ])
+    h.by_key("k").clear()
+    h.by_session("s").append(None)
+    h.keys.append("other")
+    h.sessions.clear()
+    assert len(h.by_key("k")) == 2 and len(h.by_session("s")) == 2
+    assert h.keys == ["k"] and h.sessions == ["s"]
+
+
+def test_add_and_extend_results_are_reindexed():
+    h = History([make_write("k", 1, session="s", start=0, end=1)])
+    assert len(h.by_key("k")) == 1 and h.sessions == ["s"]  # index built
+    h2 = h.add(make_read("k", 1, session="t", start=2, end=3))
+    h3 = h2.extend([make_write("j", 1, session="s", start=4, end=5)])
+    assert len(h2.by_key("k")) == 2 and h2.sessions == ["s", "t"]
+    assert h3.keys == ["k", "j"] and len(h3.by_session("s")) == 2
+    assert h3.latest_version_before("j", 5.0) == 1
+    assert len(h.by_key("k")) == 1 and h.keys == ["k"]
