@@ -26,8 +26,9 @@ the dump is summarized with ``python -m repro trace geo.trace.jsonl``.
 import os
 import sys
 
-from repro import Network, Simulator, spawn
+from repro import Network, Simulator
 from repro.analysis import LatencyStats, print_table
+from repro.api import FnSession
 from repro.checkers import (
     check_linearizability,
     check_read_your_writes,
@@ -41,6 +42,7 @@ from repro.replication import (
     TimelineCluster,
 )
 from repro.sim import THREE_CONTINENTS
+from repro.workload import OpSpec, WorkloadDriver
 
 SITES = ("us-east", "eu", "asia")
 CLIENT_SITE = "eu"
@@ -68,16 +70,42 @@ def measure(history):
     return reads, writes
 
 
-def drive(sim, write_fn, read_fn, rounds=ROUNDS):
-    def script():
-        for i in range(rounds):
-            yield write_fn(f"key-{i % 3}", f"v{i}")
-            yield 5.0
-            yield read_fn(f"key-{i % 3}")
-            yield 5.0
+def put(i):
+    return OpSpec("update", f"key-{i % 3}", f"v{i}")
 
-    spawn(sim, script())
-    sim.run()
+
+def get(i):
+    return OpSpec("read", f"key-{i % 3}")
+
+
+def pause(ms):
+    return OpSpec("sleep", "", ms)
+
+
+def session(name, write_fn=None, read_fn=None):
+    """A driver session over one protocol's write/read calls."""
+    return FnSession(
+        name,
+        put_fn=lambda key, value, _timeout: write_fn(key, value),
+        read_fns={"read": lambda key, _timeout: read_fn(key)},
+        default_mode="read",
+    )
+
+
+def drive(sim, *lanes):
+    """Run ``(session, ops)`` lanes through the workload driver and
+    return the history it recorded at the session boundary."""
+    driver = WorkloadDriver(sim)
+    for lane_session, ops in lanes:
+        driver.add_session(lane_session, ops)
+    return driver.run().history
+
+
+def write_then_read(write_fn, read_fn, rounds=ROUNDS):
+    """The EU client's lane: write a key, pause, read it back, pause."""
+    ops = [op for i in range(rounds)
+           for op in (put(i), pause(5.0), get(i), pause(5.0))]
+    return session("eu", write_fn, read_fn), ops
 
 
 def run_dynamo(r, w, label, seed=1, remote_reader=False, tracer=None):
@@ -96,28 +124,16 @@ def run_dynamo(r, w, label, seed=1, remote_reader=False, tracer=None):
         # the EU user writes: the eventual-consistency anomaly is in
         # *their* reads, racing the asynchronous replication.
         reader = cluster.connect(coordinator="dyn2")
-
-        def script():
-            def eu_writer():
-                for i in range(ROUNDS):
-                    yield client.put(f"key-{i % 3}", f"v{i}")
-                    yield 10.0
-
-            def asia_reader():
-                yield 2.0
-                for i in range(ROUNDS):
-                    yield reader.get(f"key-{i % 3}")
-                    yield 10.0
-
-            spawn(sim, eu_writer())
-            spawn(sim, asia_reader())
-            yield 0.0
-
-        spawn(sim, script())
-        sim.run()
+        history = drive(
+            sim,
+            (session("eu", write_fn=client.put),
+             [op for i in range(ROUNDS) for op in (put(i), pause(10.0))]),
+            (session("asia", read_fn=reader.get),
+             [pause(2.0)] + [op for i in range(ROUNDS)
+                             for op in (get(i), pause(10.0))]),
+        )
     else:
-        drive(sim, client.put, client.get)
-    history = cluster.history()
+        history = drive(sim, write_then_read(client.put, client.get))
     reads, writes = measure(history)
     if tracer is not None:
         # Show what the observability layer collected for this run.
@@ -138,13 +154,11 @@ def run_timeline(with_session, label, seed=1):
         cluster.set_master(f"key-{i}", "tl0")   # mastered in us-east
     raw = cluster.connect(home="tl1")           # EU reads local
     if with_session:
-        session = timeline_session(raw, guarantees=("ryw", "mr"),
-                                   retry_delay=10.0)
-        drive(sim, session.write, session.read)
-        history = session.history()
+        client = timeline_session(raw, guarantees=("ryw", "mr"),
+                                  retry_delay=10.0)
+        history = drive(sim, write_then_read(client.write, client.read))
     else:
-        drive(sim, raw.write, raw.read_any)
-        history = cluster.recorder.history()
+        history = drive(sim, write_then_read(raw.write, raw.read_any))
     reads, writes = measure(history)
     return [label, round(reads.mean, 1), round(writes.mean, 1),
             round(stale_read_fraction(history), 3),
@@ -159,8 +173,7 @@ def run_paxos(seed=1):
     cluster.elect()
     sim.run()
     client = cluster.connect()
-    drive(sim, client.put, client.get)
-    history = cluster.recorder.history()
+    history = drive(sim, write_then_read(client.put, client.get))
     reads, writes = measure(history)
     return ["strong (paxos)", round(reads.mean, 1), round(writes.mean, 1),
             round(stale_read_fraction(history), 3),
@@ -173,8 +186,7 @@ def run_chain(seed=1):
     net = geo_network(sim, ids, ["chclient-1"])
     cluster = ChainCluster(sim, net, nodes=3, node_ids=ids)
     client = cluster.connect()
-    drive(sim, client.put, client.get)
-    history = cluster.recorder.history()
+    history = drive(sim, write_then_read(client.put, client.get))
     reads, writes = measure(history)
     return ["strong (chain)", round(reads.mean, 1), round(writes.mean, 1),
             round(stale_read_fraction(history), 3),

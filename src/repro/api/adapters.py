@@ -217,9 +217,6 @@ class QuorumStore(ConsistentStore):
     def server_ids(self) -> list[Hashable]:
         return self.cluster.ring.nodes
 
-    def history(self):
-        return self.cluster.history()
-
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()
 
@@ -249,7 +246,6 @@ def _context_token(context: dict):
     description="partial quorums keeping concurrent siblings (DVV contexts)",
     read_modes=("quorum",),
     multi_value_reads=True,
-    has_history=False,
     failover_reads=True,
     failover_writes=True,
 ))
@@ -387,9 +383,6 @@ class CausalStore(ConsistentStore):
 
     def server_ids(self) -> list[Hashable]:
         return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.history()
 
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()
@@ -534,9 +527,6 @@ class TimelineStore(ConsistentStore):
     def server_ids(self) -> list[Hashable]:
         return list(self.cluster.node_ids)
 
-    def history(self):
-        return self.cluster.recorder.history()
-
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()
 
@@ -555,7 +545,6 @@ class TimelineStore(ConsistentStore):
     read_modes=("tentative", "committed"),
     tentative_reads=True,
     networked=False,
-    has_history=False,
     retry_safe_reads=False,
     retry_safe_writes=False,
 ))
@@ -749,9 +738,6 @@ class PrimaryBackupStore(ConsistentStore):
     def server_ids(self) -> list[Hashable]:
         return [replica.node_id for replica in self.cluster.replicas]
 
-    def history(self):
-        return self.cluster.recorder.history()
-
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()
 
@@ -821,9 +807,6 @@ class ChainStore(ConsistentStore):
 
     def server_ids(self) -> list[Hashable]:
         return [replica.node_id for replica in self.cluster.replicas]
-
-    def history(self):
-        return self.cluster.recorder.history()
 
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()
@@ -902,9 +885,6 @@ class MultiPaxosStore(ConsistentStore):
 
     def server_ids(self) -> list[Hashable]:
         return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.recorder.history()
 
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()
@@ -1021,9 +1001,6 @@ class PileusStore(ConsistentStore):
 
     def server_ids(self) -> list[Hashable]:
         return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.recorder.history()
 
     def snapshots(self) -> list[dict]:
         return self.cluster.snapshots()

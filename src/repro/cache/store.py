@@ -302,9 +302,6 @@ class CachedStore(ConsistentStore):
     def server_ids(self) -> list[Hashable]:
         return self.inner.server_ids()
 
-    def history(self):
-        return self.inner.history()
-
     def snapshots(self) -> list[dict]:
         return self.inner.snapshots()
 
@@ -667,7 +664,6 @@ def derive_capabilities(
         tentative_reads=inner.tentative_reads,
         multi_value_reads=inner.multi_value_reads,
         networked=inner.networked,
-        has_history=inner.has_history,
         survives_replica_crash=inner.survives_replica_crash,
         retry_safe_reads=inner.retry_safe_reads,
         # Write-behind retries internally; the client-side idempotent

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
 
 from ..errors import TimeoutError as ReproTimeoutError
-from ..histories import HistoryRecorder
 from ..sim import Future, Simulator, spawn
 
 GUARANTEES = ("ryw", "mr", "mw", "wfr")
@@ -93,7 +92,6 @@ class SessionClient:
         guarantees: Iterable[str] = (),
         retry_delay: float = 10.0,
         max_retries: int = 50,
-        session_id: Hashable = "session",
     ) -> None:
         guarantees = frozenset(guarantees)
         unknown = guarantees - set(GUARANTEES)
@@ -107,11 +105,6 @@ class SessionClient:
         self.max_retries = max_retries
         self.state = SessionState()
         self.stats = SessionStats()
-        self.session_id = session_id
-        #: Client-observed history: only *accepted* replies appear, so
-        #: checkers see what the application saw (raw store histories
-        #: include the stale replies the floors rejected).
-        self.recorder = HistoryRecorder(sim)
         self._accepts_attempt = self._probe_attempt_kwarg(read_fn)
 
     @staticmethod
@@ -128,18 +121,15 @@ class SessionClient:
     def write(self, key: Hashable, value: Any) -> Future:
         """Write through the store; floors advance on success."""
         self.stats.writes += 1
-        handle = self.recorder.begin("write", key, self.session_id)
         inner = self.write_fn(key, value)
         outer = Future(self.sim, label=f"session-write({key!r})")
 
         def done(future: Future) -> None:
             if future.error is not None:
-                self.recorder.fail(handle)
                 outer.fail(future.error)
                 return
             version = future.value
             self.state.note_write(key, version)
-            self.recorder.complete(handle, version, value)
             outer.resolve(version)
 
         inner.add_callback(done)
@@ -149,7 +139,6 @@ class SessionClient:
         """Read honoring the session's floors; resolves (value, version)."""
         self.stats.reads += 1
         floor = self.state.required_version(key, self.guarantees)
-        handle = self.recorder.begin("read", key, self.session_id)
         outer = Future(self.sim, label=f"session-read({key!r})")
 
         def attempt_read(attempt: int):
@@ -160,17 +149,14 @@ class SessionClient:
             try:
                 value, version = yield inner
             except Exception as exc:  # noqa: BLE001 - surface to caller
-                self.recorder.fail(handle)
                 outer.fail(exc)
                 return
             if version >= floor:
                 self.state.note_read(key, version)
-                self.recorder.complete(handle, version, value)
                 outer.resolve((value, version))
                 return
             self.stats.reads_rejected_stale += 1
             if attempt >= self.max_retries:
-                self.recorder.fail(handle)
                 outer.fail(
                     ReproTimeoutError(
                         f"read of {key!r} below floor v{floor} after "
@@ -184,10 +170,6 @@ class SessionClient:
 
         spawn(self.sim, attempt_read(1), name="session-read")
         return outer
-
-    def history(self):
-        """The session-level (client-observed) history."""
-        return self.recorder.history()
 
 
 def timeline_session(
@@ -221,5 +203,4 @@ def timeline_session(
         write_fn,
         guarantees=guarantees,
         retry_delay=retry_delay,
-        session_id=client.session,
     )

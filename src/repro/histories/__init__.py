@@ -3,9 +3,10 @@
 A :class:`History` is a set of client-observed operations — key, kind
 (read/write), value/version, session, invocation and response times.
 The checkers in :mod:`repro.checkers` are predicates over histories;
-the replication protocols record histories via :class:`HistoryRecorder`
-so every experiment's consistency claims are machine-checked rather
-than asserted.
+the workload drivers record one history per run via
+:class:`HistoryRecorder`, at the client session boundary, so every
+experiment's consistency claims are machine-checked rather than
+asserted.
 """
 
 from .events import History, Operation, make_read, make_write

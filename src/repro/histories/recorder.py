@@ -1,36 +1,59 @@
 """Recording histories from live simulations.
 
-The recorder is deliberately dumb: protocols call ``begin`` when a
-client operation is invoked and ``complete``/``fail`` when it returns.
-Everything clever happens later, in the checkers.
+The recorder is deliberately dumb: the caller that issues a client
+operation calls ``begin`` when it is invoked and ``complete_token`` /
+``fail`` when it returns.  Everything clever happens later, in the
+checkers.  The workload drivers record every operation this way at
+the :class:`~repro.api.StoreSession` boundary, so a history holds what
+the client observed, whatever protocol served it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any
 
 from ..sim import Simulator
 from .events import History, Operation
 
 
-@dataclass
-class _PendingOp:
+@dataclass(slots=True)
+class _TokenOp:
+    """One operation as recorded, before tokens become versions."""
+
     kind: str
     key: Hashable
     session: Hashable
     start: float
     replica: Hashable
+    end: float | None = None
+    token: Any = None
+    value: Any = None
+    tier: Hashable = None
 
 
 class HistoryRecorder:
-    """Accumulates operations as they complete."""
+    """Accumulates operations stamped with version *tokens*.
+
+    The protocols stamp operations with heterogeneous version metadata
+    — Lamport stamps, causal ranks, per-record sequence numbers —
+    whose only shared property is a total order *within a key*.  The
+    recorder accepts those tokens directly (:meth:`complete_token`;
+    an integer version is just a token) and densifies them into
+    per-key integer versions at :meth:`history` time.  That is what
+    lets one workload driver record a checkable history against any
+    store behind the :mod:`repro.api` interface.
+
+    Falsy tokens (``None``, ``0``, empty context) mean "nothing
+    observed" and map to version 0, the checkers' initial state.
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._pending: dict[int, _PendingOp] = {}
+        self._pending: dict[int, _TokenOp] = {}
         self._next_handle = 0
-        self._ops: list[Operation] = []
+        self._ops: list[_TokenOp] = []
 
     def begin(
         self,
@@ -41,105 +64,10 @@ class HistoryRecorder:
     ) -> int:
         """Record an invocation; returns a handle for completion."""
         self._next_handle += 1
-        self._pending[self._next_handle] = _PendingOp(
+        self._pending[self._next_handle] = _TokenOp(
             kind, key, session, self.sim.now, replica
         )
         return self._next_handle
-
-    def complete(
-        self,
-        handle: int,
-        version: int,
-        value: Any = None,
-        replica: Hashable = None,
-        tier: Hashable = None,
-    ) -> Operation:
-        """Record a successful response for ``handle``.
-
-        ``tier`` names the serving tier that answered (``"cache"`` /
-        ``"store"``) when the history is recorded at a cache boundary.
-        """
-        pending = self._pending.pop(handle)
-        op = Operation(
-            kind=pending.kind,
-            key=pending.key,
-            version=version,
-            session=pending.session,
-            start=pending.start,
-            end=self.sim.now,
-            value=value,
-            replica=replica if replica is not None else pending.replica,
-            tier=tier,
-        )
-        self._ops.append(op)
-        return op
-
-    def fail(self, handle: int, value: Any = None) -> Operation:
-        """Record an operation that never produced a response.
-
-        ``value`` is the value a write *attempted* — kept on the op so
-        checkers can tie a later read of that value back to this
-        maybe-applied write."""
-        pending = self._pending.pop(handle)
-        op = Operation(
-            kind=pending.kind,
-            key=pending.key,
-            version=0,
-            session=pending.session,
-            start=pending.start,
-            end=None,
-            value=value,
-            replica=pending.replica,
-        )
-        self._ops.append(op)
-        return op
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def history(self) -> History:
-        """Snapshot the history recorded so far."""
-        return History(self._ops)
-
-    def record(self, op: Operation) -> None:
-        """Append an externally built operation (for composition)."""
-        self._ops.append(op)
-
-
-@dataclass
-class _TokenOp:
-    kind: str
-    key: Hashable
-    session: Hashable
-    start: float
-    end: float | None
-    token: Any
-    value: Any
-    replica: Hashable
-    tier: Hashable = None
-
-
-class TokenHistoryRecorder(HistoryRecorder):
-    """A recorder for version *tokens* instead of integer versions.
-
-    The protocols stamp operations with heterogeneous version metadata
-    — Lamport stamps, causal ranks, per-record sequence numbers —
-    whose only shared property is a total order *within a key*.  This
-    recorder accepts those tokens directly (:meth:`complete_token`)
-    and densifies them into per-key integer versions at
-    :meth:`history` time, exactly the post-hoc scheme
-    :meth:`repro.replication.DynamoCluster.history` uses.  It is what
-    lets one workload driver record a checkable history against any
-    store behind the :mod:`repro.api` interface.
-
-    Falsy tokens (``None``, ``0``, empty context) mean "nothing
-    observed" and map to version 0, the checkers' initial state.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        super().__init__(sim)
-        self._token_ops: list[_TokenOp] = []
 
     def complete_token(
         self,
@@ -153,33 +81,36 @@ class TokenHistoryRecorder(HistoryRecorder):
 
         ``tier`` tags the op with the serving tier (``"cache"`` /
         ``"store"``) when the caller drives a cache-fronted store."""
-        pending = self._pending.pop(handle)
-        self._token_ops.append(
-            _TokenOp(
-                pending.kind, pending.key, pending.session, pending.start,
-                self.sim.now, token if token else None, value,
-                replica if replica is not None else pending.replica,
-                tier,
-            )
-        )
+        op = self._pending.pop(handle)
+        op.end = self.sim.now
+        op.token = token if token else None
+        op.value = value
+        if replica is not None:
+            op.replica = replica
+        op.tier = tier
+        self._ops.append(op)
 
-    def fail(  # type: ignore[override]
-        self, handle: int, value: Any = None
-    ) -> None:
+    def fail(self, handle: int, value: Any = None) -> None:
         """Record an operation that never produced a response.
-        ``value`` is a write's attempted value (see below)."""
-        pending = self._pending.pop(handle)
-        self._token_ops.append(
-            _TokenOp(
-                pending.kind, pending.key, pending.session, pending.start,
-                None, None, value, pending.replica,
-            )
-        )
+
+        ``value`` is the value a write *attempted* — kept on the op so
+        a later read of that value ties back to this maybe-applied
+        write (see :meth:`history`)."""
+        op = self._pending.pop(handle)
+        op.value = value
+        self._ops.append(op)
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._pending)
 
     def history(self) -> History:
         """Densify tokens into per-key versions; reads contribute their
         observed tokens too, so writes that timed out client-side but
         landed on replicas still rank consistently.
+
+        Each key's tokens are sorted from first-seen order, so the
+        comparisons made (and their count) never depend on hash order.
 
         A failed write carries no token (the server assigns it), but if
         a completed op later *observed* the write's attempted value, the
@@ -187,31 +118,33 @@ class TokenHistoryRecorder(HistoryRecorder):
         read of a maybe-applied write is an orphan version no write op
         explains, and the linearizability checker reports a phantom
         violation.  Inference only fires when the value maps to exactly
-        one version for the key (workload values are unique)."""
-        tokens_by_key: dict[Hashable, set] = {}
-        for raw in self._token_ops:
+        one version for the key (workload values are unique) and the
+        value is hashable."""
+        tokens_by_key: dict[Hashable, dict] = {}
+        for raw in self._ops:
             if raw.token is not None:
-                tokens_by_key.setdefault(raw.key, set()).add(raw.token)
+                tokens_by_key.setdefault(raw.key, {})[raw.token] = None
         rank: dict[tuple[Hashable, Any], int] = {}
         for key, tokens in tokens_by_key.items():
             for index, token in enumerate(sorted(tokens), start=1):
                 rank[(key, token)] = index
         ambiguous = object()
         seen_versions: dict[tuple[Hashable, Any], Any] = {}
-        for raw in self._token_ops:
-            if raw.token is None or raw.value is None:
+        for raw in self._ops:
+            if raw.token is None or raw.value is None \
+                    or not isinstance(raw.value, Hashable):
                 continue
             observed = (raw.key, raw.value)
             version = rank[(raw.key, raw.token)]
             if seen_versions.setdefault(observed, version) != version:
                 seen_versions[observed] = ambiguous
-        ops = list(self._ops)
-        for raw in self._token_ops:
+        ops = []
+        for raw in self._ops:
             version = 0
             if raw.token is not None:
-                version = rank.get((raw.key, raw.token), 0)
+                version = rank[(raw.key, raw.token)]
             elif raw.end is None and raw.kind == "write" \
-                    and raw.value is not None:
+                    and isinstance(raw.value, Hashable):
                 inferred = seen_versions.get((raw.key, raw.value))
                 if isinstance(inferred, int):
                     version = inferred
@@ -229,3 +162,7 @@ class TokenHistoryRecorder(HistoryRecorder):
                 )
             )
         return History(ops)
+
+
+#: The name the workload drivers have always used for this recorder.
+TokenHistoryRecorder = HistoryRecorder

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..crdt.opbased import CausalBuffer, OpEnvelope
-from ..histories import History, Operation
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 
@@ -118,18 +117,6 @@ class CausalReplica(ServerNode):
         return {key: value for key, (value, _rank) in self.data.items()}
 
 
-@dataclass
-class _RawOp:
-    kind: str
-    key: Hashable
-    session: Hashable
-    start: float
-    end: float | None
-    rank: Rank | None
-    value: Any
-    replica: Hashable
-
-
 class CausalClient(ClientNode):
     """A client pinned to one replica (its 'local datacenter')."""
 
@@ -147,28 +134,6 @@ class CausalClient(ClientNode):
         self.session = session
         self.home = home
 
-    def _recorded(self, kind, key, inner, extract):
-        outer = Future(self.sim)
-        start = self.sim.now
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                self.cluster._raw_ops.append(
-                    _RawOp(kind, key, self.session, start, None, None,
-                           None, self.home)
-                )
-                outer.fail(future.error)
-            else:
-                rank, value = extract(future.value)
-                self.cluster._raw_ops.append(
-                    _RawOp(kind, key, self.session, start, self.sim.now,
-                           rank, value, self.home)
-                )
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
-
     def _endpoints(self) -> list:
         """Failover order: the home replica, then every other replica —
         any COPS replica accepts local reads and writes."""
@@ -178,22 +143,12 @@ class CausalClient(ClientNode):
 
     def put(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         """Local write; resolves with the write's arbitration rank."""
-        inner = self.call(self._endpoints(), CPutLocal(key, value), timeout,
-                          idempotent=True)
-        return self._recorded(
-            "write", key, inner, lambda rank: (tuple(rank), value)
-        )
+        return self.call(self._endpoints(), CPutLocal(key, value), timeout,
+                         idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Local read; resolves with ``(value, rank-or-None)``."""
-        inner = self.call(self._endpoints(), CGetLocal(key), timeout)
-        return self._recorded(
-            "read", key, inner,
-            lambda reply: (
-                tuple(reply[1]) if reply[1] is not None else None,
-                reply[0],
-            ),
-        )
+        return self.call(self._endpoints(), CGetLocal(key), timeout)
 
 
 class CausalCluster:
@@ -217,7 +172,6 @@ class CausalCluster:
         self._g_pending = metrics.gauge("causal.pending")
         self.replicas = [CausalReplica(sim, network, i, self) for i in ids]
         self._clients = 0
-        self._raw_ops: list[_RawOp] = []
 
     def replica(self, node_id: Hashable) -> CausalReplica:
         for replica in self.replicas:
@@ -236,36 +190,6 @@ class CausalCluster:
         client_id = client_id if client_id is not None else f"ccclient-{self._clients}"
         return CausalClient(self.sim, self.network, client_id, self,
                             session, home)
-
-    def history(self) -> History:
-        """Densify arbitration ranks into per-key integer versions
-        (the same post-hoc scheme as :meth:`DynamoCluster.history`)."""
-        ranks_by_key: dict[Hashable, set[Rank]] = {}
-        for raw in self._raw_ops:
-            if raw.rank is not None:
-                ranks_by_key.setdefault(raw.key, set()).add(raw.rank)
-        dense: dict[tuple[Hashable, Rank], int] = {}
-        for key, ranks in ranks_by_key.items():
-            for index, rank in enumerate(sorted(ranks), start=1):
-                dense[(key, rank)] = index
-        ops = []
-        for raw in self._raw_ops:
-            version = 0
-            if raw.rank is not None:
-                version = dense.get((raw.key, raw.rank), 0)
-            ops.append(
-                Operation(
-                    kind=raw.kind,
-                    key=raw.key,
-                    version=version,
-                    session=raw.session,
-                    start=raw.start,
-                    end=raw.end,
-                    value=raw.value,
-                    replica=raw.replica,
-                )
-            )
-        return History(ops)
 
     def snapshots(self) -> list[dict]:
         return [replica.snapshot() for replica in self.replicas]

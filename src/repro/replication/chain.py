@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import NotLeaderError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 
@@ -133,35 +132,15 @@ class ChainClient(ClientNode):
         self.cluster = cluster
         self.session = session
 
-    def _recorded(self, kind, key, target, inner, extract):
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                recorder.complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
-
     def put(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         # Chain roles are fixed (writes at head, reads at tail), so
         # there are no failover endpoints — retries re-ask the same
         # node, deduped by the idempotency key.
-        head = self.cluster.head.node_id
-        inner = self.call(head, CPut(key, value), timeout, idempotent=True)
-        return self._recorded("write", key, head, inner, lambda v: (v, value))
+        return self.call(self.cluster.head.node_id, CPut(key, value),
+                         timeout, idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
-        tail = self.cluster.tail.node_id
-        inner = self.call(tail, CGet(key), timeout)
-        return self._recorded("read", key, tail, inner, lambda v: (v[1], v[0]))
+        return self.call(self.cluster.tail.node_id, CGet(key), timeout)
 
 
 class ChainCluster:
@@ -183,7 +162,6 @@ class ChainCluster:
             ChainReplica(sim, network, node_id, self, index)
             for index, node_id in enumerate(ids)
         ]
-        self.recorder = HistoryRecorder(sim)
         self._clients = 0
 
     @property

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import NotLeaderError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 from .paxos import NO_BALLOT, Ballot
@@ -297,7 +296,7 @@ class PaxosReplica(ServerNode):
 
 
 class PaxosClient(ClientNode):
-    """Client handle with history recording."""
+    """Client handle bound to one session."""
 
     def __init__(
         self,
@@ -311,46 +310,20 @@ class PaxosClient(ClientNode):
         self.cluster = cluster
         self.session = session
 
-    def _recorded(
-        self, kind: str, key: Hashable, target: Hashable, inner: Future,
-        extract,
-    ) -> Future:
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                recorder.complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
-
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
     ) -> Future:
         """Replicated write; resolves with the new version."""
         # Commands must go through the leader; a retried submit dedups
         # there so a slow commit is not proposed twice.
-        leader = self.cluster.leader.node_id
-        inner = self.call(leader, SubmitCmd(PutCmd(key, value)), timeout,
-                          idempotent=True)
-        return self._recorded(
-            "write", key, leader, inner, lambda v: (v, value)
-        )
+        return self.call(self.cluster.leader.node_id,
+                         SubmitCmd(PutCmd(key, value)), timeout,
+                         idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Linearizable read through the log; resolves (value, version)."""
-        leader = self.cluster.leader.node_id
-        inner = self.call(leader, SubmitCmd(GetCmd(key)), timeout)
-        return self._recorded(
-            "read", key, leader, inner, lambda v: (v[1], v[0])
-        )
+        return self.call(self.cluster.leader.node_id, SubmitCmd(GetCmd(key)),
+                         timeout)
 
     def local_get(
         self,
@@ -363,10 +336,7 @@ class PaxosClient(ClientNode):
         endpoints = [target] + [
             node for node in self.cluster.node_ids if node != target
         ]
-        inner = self.call(endpoints, LocalRead(key), timeout)
-        return self._recorded(
-            "read", key, target, inner, lambda v: (v[1], v[0])
-        )
+        return self.call(endpoints, LocalRead(key), timeout)
 
 
 class MultiPaxosCluster:
@@ -386,7 +356,6 @@ class MultiPaxosCluster:
         self.network = network
         self.node_ids = list(ids)
         self.replicas = [PaxosReplica(sim, network, i, self) for i in ids]
-        self.recorder = HistoryRecorder(sim)
         self._clients = 0
         self._leader: PaxosReplica | None = None
         self._round = 0

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import NotLeaderError, UnavailableError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 
@@ -132,7 +131,7 @@ class PBReplica(ServerNode):
 
 
 class PBClient(ClientNode):
-    """Client handle bound to one session, recording history."""
+    """Client handle bound to one session."""
 
     def __init__(
         self,
@@ -150,25 +149,10 @@ class PBClient(ClientNode):
         self, key: Hashable, value: Any, timeout: float | None = None
     ) -> Future:
         """Write through the primary; resolves with the new version."""
-        recorder = self.cluster.recorder
-        primary = self.cluster.primary
-        handle = recorder.begin("write", key, self.session, primary.node_id)
         # Writes only the primary can accept: no failover endpoints,
         # but retried writes dedup at the primary.
-        inner = self.call(primary.node_id, PutPayload(key, value), timeout,
-                          idempotent=True)
-        outer = Future(self.sim, label=f"put({key!r})")
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                recorder.complete(handle, future.value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
+        return self.call(self.cluster.primary.node_id, PutPayload(key, value),
+                         timeout, idempotent=True)
 
     def get(
         self,
@@ -179,27 +163,12 @@ class PBClient(ClientNode):
         """Read from ``replica`` (default primary); resolves with
         ``(value, version)``."""
         target = replica or self.cluster.primary
-        recorder = self.cluster.recorder
-        handle = recorder.begin("read", key, self.session, target.node_id)
         # Reads fail over across the replica set (trading freshness
         # for availability, the EC bargain); writes do not.
         endpoints = [target.node_id] + [
             r.node_id for r in self.cluster.replicas if r is not target
         ]
-        inner = self.call(endpoints, GetPayload(key), timeout)
-        outer = Future(self.sim, label=f"get({key!r})")
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                value, version = future.value
-                recorder.complete(handle, version, value)
-                outer.resolve((value, version))
-
-        inner.add_callback(done)
-        return outer
+        return self.call(endpoints, GetPayload(key), timeout)
 
 
 class PrimaryBackupCluster:
@@ -225,7 +194,6 @@ class PrimaryBackupCluster:
         self.mode = mode
         self.replicas = [PBReplica(sim, network, node_id, self) for node_id in ids]
         self.replicas[0].is_primary = True
-        self.recorder = HistoryRecorder(sim)
         self._clients = 0
 
     @property

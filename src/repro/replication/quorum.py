@@ -25,7 +25,6 @@ from typing import Any, Hashable
 
 from ..clocks import LamportClock, LamportStamp
 from ..errors import QuorumError
-from ..histories import History, Operation
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 from .ring import HashRing
@@ -319,22 +318,8 @@ class _CoordinatorOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _RawOp:
-    """History record before stamps are densified into versions."""
-
-    kind: str
-    key: Hashable
-    session: Hashable
-    start: float
-    end: float | None
-    stamp: LamportStamp | None
-    value: Any
-    replica: Hashable
-
-
 class DynamoClient(ClientNode):
-    """Session-scoped client; records raw stamped history."""
+    """Session-scoped client carrying its causal context."""
 
     def __init__(
         self,
@@ -389,18 +374,10 @@ class DynamoClient(ClientNode):
 
         def done(future: Future) -> None:
             if future.error is not None:
-                self.cluster._raw_ops.append(
-                    _RawOp("write", key, self.session, start, None, None,
-                           value, coordinator)
-                )
                 outer.fail(future.error)
             else:
                 _value, stamp = future.value
                 self._observe(stamp)
-                self.cluster._raw_ops.append(
-                    _RawOp("write", key, self.session, start, self.sim.now,
-                           stamp, value, coordinator)
-                )
                 self.cluster._lat_writes.record(self.sim.now - start)
                 outer.resolve(stamp)
 
@@ -419,18 +396,10 @@ class DynamoClient(ClientNode):
 
         def done(future: Future) -> None:
             if future.error is not None:
-                self.cluster._raw_ops.append(
-                    _RawOp("read", key, self.session, start, None, None,
-                           None, coordinator)
-                )
                 outer.fail(future.error)
             else:
                 value, stamp = future.value
                 self._observe(stamp)
-                self.cluster._raw_ops.append(
-                    _RawOp("read", key, self.session, start, self.sim.now,
-                           stamp, value, coordinator)
-                )
                 self.cluster._lat_reads.record(self.sim.now - start)
                 outer.resolve((value, stamp))
 
@@ -496,7 +465,6 @@ class DynamoCluster:
         self._lat_reads = metrics.latency("quorum.read_ms")
         self._lat_writes = metrics.latency("quorum.write_ms")
         self.nodes = [DynamoNode(sim, network, node_id, self) for node_id in ids]
-        self._raw_ops: list[_RawOp] = []
         self._clients = 0
 
     @property
@@ -542,39 +510,6 @@ class DynamoCluster:
             self.sim, self.network, client_id, self, session,
             coordinator=coordinator,
         )
-
-    # ------------------------------------------------------------------
-    def history(self) -> History:
-        """Densify Lamport stamps into per-key integer versions."""
-        rank: dict[tuple[Hashable, LamportStamp], int] = {}
-        stamps_by_key: dict[Hashable, list[LamportStamp]] = {}
-        for raw in self._raw_ops:
-            # Reads contribute their observed stamps too, so a write
-            # that timed out client-side but landed on replicas still
-            # gets a consistent rank when reads observe it.
-            if raw.stamp is not None:
-                stamps_by_key.setdefault(raw.key, []).append(raw.stamp)
-        for key, stamps in stamps_by_key.items():
-            for index, stamp in enumerate(sorted(set(stamps)), start=1):
-                rank[(key, stamp)] = index
-        ops = []
-        for raw in self._raw_ops:
-            version = 0
-            if raw.stamp is not None:
-                version = rank.get((raw.key, raw.stamp), 0)
-            ops.append(
-                Operation(
-                    kind=raw.kind,
-                    key=raw.key,
-                    version=version,
-                    session=raw.session,
-                    start=raw.start,
-                    end=raw.end,
-                    value=raw.value,
-                    replica=raw.replica,
-                )
-            )
-        return History(ops)
 
     def snapshots(self) -> list[dict]:
         return [node.snapshot() for node in self.nodes]

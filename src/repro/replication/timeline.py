@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import UnavailableError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 from .ring import HashRing
@@ -181,23 +180,6 @@ class TimelineClient(ClientNode):
             node for node in self.cluster.node_ids if node != target
         ]
 
-    def _recorded(self, kind, key, target, inner, extract):
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                recorder.complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
-
     def write(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         """Resolves with the new version (master-assigned seqno)."""
         master = self.cluster.master_of(key)
@@ -206,20 +188,18 @@ class TimelineClient(ClientNode):
         # retries still dedup server-side via the idempotency key.
         inner = self.call(master, TWrite(key, value), timeout,
                           idempotent=True)
-        outer = self._recorded("write", key, master, inner, lambda v: (v, value))
 
         def bump_floor(future: Future) -> None:
             if future.error is None:
                 self.floors[key] = max(self.floors.get(key, 0), future.value)
 
-        outer.add_callback(bump_floor)
-        return outer
+        inner.add_callback(bump_floor)
+        return inner
 
     def read_any(self, key: Hashable, timeout: float | None = None) -> Future:
         """Fast read from the home replica; may be stale."""
         target = self._reader(key)
-        inner = self.call(self._read_endpoints(target), TReadAny(key), timeout)
-        return self._recorded("read", key, target, inner, lambda v: (v[1], v[0]))
+        return self.call(self._read_endpoints(target), TReadAny(key), timeout)
 
     def read_critical(
         self, key: Hashable, min_version: int | None = None,
@@ -235,20 +215,17 @@ class TimelineClient(ClientNode):
         target = self._reader(key)
         inner = self.call(self._read_endpoints(target),
                           TReadCritical(key, floor), timeout)
-        outer = self._recorded("read", key, target, inner, lambda v: (v[1], v[0]))
 
         def bump_floor(future: Future) -> None:
             if future.error is None:
                 self.floors[key] = max(self.floors.get(key, 0), future.value[1])
 
-        outer.add_callback(bump_floor)
-        return outer
+        inner.add_callback(bump_floor)
+        return inner
 
     def read_latest(self, key: Hashable, timeout: float | None = None) -> Future:
         """Read from the record master (up-to-date)."""
-        master = self.cluster.master_of(key)
-        inner = self.call(master, TReadAny(key), timeout)
-        return self._recorded("read", key, master, inner, lambda v: (v[1], v[0]))
+        return self.call(self.cluster.master_of(key), TReadAny(key), timeout)
 
 
 class TimelineCluster:
@@ -269,7 +246,6 @@ class TimelineCluster:
         self.propagation_delay = propagation_delay
         self.ring = HashRing(ids, vnodes=16)
         self.replicas = [TimelineReplica(sim, network, i, self) for i in ids]
-        self.recorder = HistoryRecorder(sim)
         self._clients = 0
         self._masters: dict[Hashable, Hashable] = {}
         # Internal client node used for write forwarding between replicas.

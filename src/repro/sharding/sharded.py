@@ -46,7 +46,6 @@ from ..api.store import (
     resolved,
 )
 from ..errors import OverloadedError, SimulationError
-from ..histories import History
 from ..replication import HashRing
 from ..sim import Future, Network, Simulator, spawn
 from .handoff import DRAIN, JOIN, RingMove
@@ -167,8 +166,6 @@ class ShardedStore(ConsistentStore):
         self.shards: dict[Hashable, ConsistentStore] = {}
         for shard_id in self.shard_ids:
             self.shards[shard_id] = self._build_cluster(shard_id)
-        #: Decommissioned clusters, kept for history()/forensics.
-        self._retired: list[tuple[Hashable, ConsistentStore]] = []
         self._move: RingMove | None = None
         #: Optional :class:`repro.membership.MembershipService` kept in
         #: sync with ring moves (see :meth:`attach_membership`).
@@ -181,7 +178,6 @@ class ShardedStore(ConsistentStore):
             tentative_reads=spec.capabilities.tentative_reads,
             multi_value_reads=spec.capabilities.multi_value_reads,
             networked=spec.capabilities.networked,
-            has_history=spec.capabilities.has_history,
             survives_replica_crash=spec.capabilities.survives_replica_crash,
             retry_safe_reads=spec.capabilities.retry_safe_reads,
             retry_safe_writes=spec.capabilities.retry_safe_writes,
@@ -392,7 +388,6 @@ class ShardedStore(ConsistentStore):
             self.ring.remove_node(move.subject)
             cluster = self.shards.pop(move.subject)
             self.shard_ids.remove(move.subject)
-            self._retired.append((move.subject, cluster))
             for node_id in cluster.server_ids():
                 if self.membership is not None:
                     self.membership.forget(node_id)
@@ -426,16 +421,6 @@ class ShardedStore(ConsistentStore):
             for shard_id in self.shard_ids
             for node_id in self.shards[shard_id].server_ids()
         ]
-
-    def history(self) -> History:
-        """Union of the per-shard histories — including retired shards,
-        whose pre-drain operations are part of the record."""
-        ops = []
-        for shard_id in self.shard_ids:
-            ops.extend(self.shards[shard_id].history())
-        for _shard_id, cluster in self._retired:
-            ops.extend(cluster.history())
-        return History(ops)
 
     def snapshots(self) -> list[dict]:
         """Ownership-filtered replica views, merged across shards.

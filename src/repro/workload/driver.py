@@ -4,7 +4,7 @@ One closed-loop driver replaces the bespoke client scripts the
 benchmarks used to carry: it consumes :class:`OpSpec` streams from any
 generator in :mod:`repro.workload`, issues them against any
 :class:`repro.api.ConsistentStore` session, records every operation
-into a :class:`~repro.histories.TokenHistoryRecorder`, and returns a
+into a :class:`~repro.histories.HistoryRecorder`, and returns a
 :class:`DriverResult` whose history plugs straight into the checkers.
 
 Shape::
@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable
 
 from ..analysis import LatencyStats
 from ..errors import ReproError
-from ..histories import History, TokenHistoryRecorder
+from ..histories import History, HistoryRecorder
 from ..sim import Simulator, spawn
 from .ycsb import OpSpec
 
@@ -110,12 +110,12 @@ class WorkloadDriver:
     def __init__(
         self,
         sim: Simulator,
-        recorder: TokenHistoryRecorder | None = None,
+        recorder: HistoryRecorder | None = None,
     ) -> None:
         self.sim = sim
         #: Shared by every lane; pass one recorder to several drivers to
         #: densify their histories together.
-        self.recorder = recorder or TokenHistoryRecorder(sim)
+        self.recorder = recorder or HistoryRecorder(sim)
         self.read_latency = LatencyStats()
         self.write_latency = LatencyStats()
         self._lanes: list[_Lane] = []
@@ -309,7 +309,7 @@ def run_workload(
     ops: Iterable[OpSpec],
     clients: int = 1,
     session_opts: dict | None = None,
-    recorder: TokenHistoryRecorder | None = None,
+    recorder: HistoryRecorder | None = None,
     until: float | None = None,
     retry: Any = None,
     nemesis: Any = None,

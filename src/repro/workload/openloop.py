@@ -36,7 +36,7 @@ Shape::
 
 Ops come from the same generators the closed-loop driver consumes
 (``sleep`` specs are skipped — pacing is the arrival process's job);
-every completed op lands in a :class:`TokenHistoryRecorder` history,
+every completed op lands in a :class:`HistoryRecorder` history,
 so the checkers run unchanged on open-loop runs.
 """
 
@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..analysis import LatencyStats
 from ..errors import OverloadedError, ReproError
-from ..histories import History, TokenHistoryRecorder
+from ..histories import History, HistoryRecorder
 from .ycsb import OpSpec
 
 __all__ = [
@@ -262,7 +262,7 @@ class OpenLoopDriver:
         ops: Iterable[OpSpec],
         sessions: int = 1000,
         session_opts: dict | None = None,
-        recorder: TokenHistoryRecorder | None = None,
+        recorder: HistoryRecorder | None = None,
         retry: Any = None,
         timeout: float | None = 1000.0,
         read_mode: str | None = None,
@@ -277,7 +277,7 @@ class OpenLoopDriver:
         self.arrivals = arrivals
         self.ops = ops
         self.sessions = sessions
-        self.recorder = recorder or TokenHistoryRecorder(self.sim)
+        self.recorder = recorder or HistoryRecorder(self.sim)
         self.timeout = timeout
         self.read_mode = read_mode
         self.rmw_fn = rmw_fn

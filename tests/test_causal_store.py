@@ -11,6 +11,8 @@ from repro.checkers import (
 from repro.replication import CausalCluster
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
 
+from .drive import client_session, drive, get, put, sleep
+
 
 def make_cluster(seed=0, latency=None, nodes=3):
     sim = Simulator(seed=seed)
@@ -128,47 +130,32 @@ def test_history_is_causal_but_not_linearizable():
     )
     net = Network(sim, latency=latency)
     cluster = CausalCluster(sim, net, nodes=3)
-    writer = cluster.connect(home="cc0", session="writer")
-    reader = cluster.connect(home="cc1", session="reader")
-
-    def write_loop():
-        for i in range(8):
-            yield writer.put("k", i)
-            yield 10.0
-
-    def read_loop():
-        yield 5.0
-        for _ in range(10):
-            yield reader.get("k")
-            yield 10.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
+    writer = client_session(cluster.connect(home="cc0", session="writer"))
+    reader = client_session(cluster.connect(home="cc1", session="reader"))
+    history = drive(
+        sim,
+        (writer, [op for i in range(8) for op in (put("k", i), sleep(10.0))]),
+        (reader, [sleep(5.0)] + [get("k"), sleep(10.0)] * 10),
+    ).history
     sim.run(until=sim.now + 500.0)
-    history = cluster.history()
+    assert len(history) == len(history.completed) == 18
     assert check_causal(history).ok
     assert not check_linearizability(history).ok  # stale remote reads
 
 
 def test_session_guarantees_hold_for_pinned_clients():
     sim, _net, cluster = make_cluster(seed=5)
-    clients = [
-        cluster.connect(home=f"cc{i}", session=f"s{i}") for i in range(3)
+    lanes = [
+        (client_session(cluster.connect(home=f"cc{index}",
+                                        session=f"s{index}")),
+         [op for i in range(6)
+          for op in (put(f"key-{index}", i), get(f"key-{index}"),
+                     get(f"key-{(index + 1) % 3}"), sleep(8.0))])
+        for index in range(3)
     ]
-
-    def script(client, index):
-        for i in range(6):
-            yield client.put(f"key-{index}", i)
-            yield client.get(f"key-{index}")
-            yield client.get(f"key-{(index + 1) % 3}")
-            yield 8.0
-
-    for index, client in enumerate(clients):
-        spawn(sim, script(client, index))
-    sim.run()
+    history = drive(sim, *lanes).history
     sim.run(until=sim.now + 500.0)
-    history = cluster.history()
+    assert len(history) == len(history.completed) == 54
     for name, verdict in check_all_session_guarantees(history).items():
         assert verdict.ok, f"{name}: {verdict.violations[:2]}"
     assert check_causal(history).ok

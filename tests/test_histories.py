@@ -65,7 +65,7 @@ def test_recorder_tracks_invocation_and_response_times():
         handles["h"] = recorder.begin("read", "k", "s1", replica="r1")
 
     def respond():
-        recorder.complete(handles["h"], version=4, value="v")
+        recorder.complete_token(handles["h"], 4, value="v")
 
     sim.schedule(1.0, invoke)
     sim.schedule(5.0, respond)
@@ -74,7 +74,8 @@ def test_recorder_tracks_invocation_and_response_times():
     assert len(history) == 1
     op = history[0]
     assert (op.start, op.end) == (1.0, 5.0)
-    assert op.version == 4 and op.value == "v" and op.replica == "r1"
+    # The only token recorded for the key densifies to version 1.
+    assert op.version == 1 and op.value == "v" and op.replica == "r1"
     assert recorder.pending_count == 0
 
 
@@ -91,8 +92,8 @@ def test_recorder_replica_override_on_complete():
     sim = Simulator()
     recorder = HistoryRecorder(sim)
     handle = recorder.begin("read", "k", "s1", replica="guess")
-    op = recorder.complete(handle, version=1, replica="actual")
-    assert op.replica == "actual"
+    recorder.complete_token(handle, 1, replica="actual")
+    assert recorder.history()[0].replica == "actual"
 
 
 def test_indexed_views_keep_start_then_op_id_order():
@@ -137,3 +138,70 @@ def test_add_and_extend_results_are_reindexed():
     assert h3.keys == ["k", "j"] and len(h3.by_session("s")) == 2
     assert h3.latest_version_before("j", 5.0) == 1
     assert len(h.by_key("k")) == 1 and h.keys == ["k"]
+
+
+#: Densifies one fixed Lamport-stamped history and prints how many
+#: stamp comparisons that took, and the versions it produced.
+DENSIFY_SCRIPT = """
+import json, random
+from repro.clocks import LamportStamp
+from repro.histories.recorder import TokenHistoryRecorder
+from repro.sim import Simulator
+
+calls = 0
+less_than = LamportStamp.__lt__
+
+def counting(self, other):
+    global calls
+    calls += 1
+    return less_than(self, other)
+
+LamportStamp.__lt__ = counting
+recorder = TokenHistoryRecorder(Simulator())
+rng = random.Random(7)
+for i in range(300):
+    stamp = LamportStamp(rng.randrange(60), f"node-{rng.randrange(5)}")
+    handle = recorder.begin("write", f"k{i % 3}", "s")
+    recorder.complete_token(handle, stamp, f"v{i}")
+versions = [op.version for op in recorder.history()]
+print(json.dumps([calls, versions]))
+"""
+
+
+def test_densifying_does_not_depend_on_the_hash_seed():
+    # Sorting a set of stamps compares them in hash order, which moves
+    # with PYTHONHASHSEED; first-seen order does not.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", DENSIFY_SCRIPT], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        runs.append(json.loads(out))
+    (calls_1, versions_1), (calls_2, versions_2) = runs
+    assert calls_1 > 0
+    assert calls_1 == calls_2
+    assert versions_1 == versions_2
+
+
+def test_unhashable_values_are_recorded():
+    # Values the driver writes need not be hashable (a cart is a list);
+    # they only skip the failed-write version inference.
+    recorder = HistoryRecorder(Simulator())
+    write = recorder.begin("write", "cart", "s1")
+    recorder.complete_token(write, 1, ["milk"])
+    lost = recorder.begin("write", "cart", "s1")
+    recorder.fail(lost, value=["eggs"])
+    history = recorder.history()
+    assert [(op.value, op.version) for op in history] == [
+        (["milk"], 1), (["eggs"], 0),
+    ]

@@ -16,6 +16,8 @@ from repro.replication import (
 )
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
 
+from .drive import client_session, drive, get, put, sleep
+
 
 # ----------------------------------------------------------------------
 # Determinism
@@ -29,23 +31,14 @@ def dynamo_trace(seed):
     )
     cluster = DynamoCluster(sim, net, nodes=5, n=3, r=2, w=2,
                             coordinator_policy="random")
-    client = cluster.connect()
-
-    def script():
-        for i in range(15):
-            try:
-                yield client.put(f"key-{i % 4}", i)
-            except Exception:  # noqa: BLE001 - loss may fail some ops
-                pass
-            try:
-                yield client.get(f"key-{(i + 1) % 4}")
-            except Exception:  # noqa: BLE001
-                pass
-            yield 6.0
-
-    spawn(sim, script())
-    sim.run()
-    history = cluster.history()
+    client = client_session(cluster.connect())
+    history = drive(
+        sim,
+        (client, [op for i in range(15)
+                  for op in (put(f"key-{i % 4}", i),
+                             get(f"key-{(i + 1) % 4}"), sleep(6.0))]),
+    ).history
+    assert len(history) == 30
     return [
         (op.kind, op.key, op.version, round(op.start, 9),
          None if op.end is None else round(op.end, 9))

@@ -7,6 +7,8 @@ from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
 from repro.replication import Acceptor, MultiPaxosCluster, Proposer
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
 
+from .drive import client_session, drive, get, put, sleep
+
 
 # ----------------------------------------------------------------------
 # Single-decree Paxos
@@ -157,24 +159,15 @@ def test_log_applies_in_order_on_all_replicas():
 
 def test_multipaxos_history_linearizable():
     sim, _net, cluster = make_mp(nodes=5, seed=4)
-    writer = cluster.connect(session="w")
-    reader = cluster.connect(session="r")
-
-    def write_loop():
-        for i in range(6):
-            yield writer.put("k", i)
-            yield 3.0
-
-    def read_loop():
-        yield 2.0
-        for _ in range(8):
-            yield reader.get("k")
-            yield 4.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    assert check_linearizability(cluster.recorder.history()).ok
+    writer = client_session(cluster.connect(session="w"))
+    reader = client_session(cluster.connect(session="r"))
+    history = drive(
+        sim,
+        (writer, [op for i in range(6) for op in (put("k", i), sleep(3.0))]),
+        (reader, [sleep(2.0)] + [get("k"), sleep(4.0)] * 8),
+    ).history
+    assert len(history) == len(history.completed) == 14
+    assert check_linearizability(history).ok
 
 
 def test_local_read_can_be_stale_but_timeline_consistent():

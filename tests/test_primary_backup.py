@@ -8,9 +8,12 @@ from repro.checkers import (
     check_read_your_writes,
 )
 from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
+from repro.histories import HistoryRecorder
 from repro.replication import PrimaryBackupCluster
 from repro.replication.primary_backup import PutPayload
 from repro.sim import FixedLatency, Network, Simulator, spawn
+
+from .drive import client_session, drive, get, put, sleep
 
 
 def make_cluster(mode="async", n=3, latency=5.0, seed=0):
@@ -132,55 +135,40 @@ def test_stale_backup_read_violates_ryw_and_linearizability():
     sim, net, cluster = make_cluster(mode="async", latency=20.0)
     client = cluster.connect()
     net.partition([cluster.primary.node_id, client.node_id])  # isolate backups
-    observed = {}
-
-    def script():
-        yield client.put("k", "v1")
-        value, version = yield client.get("k", replica=cluster.backups[0],
-                                          timeout=300.0)
-        observed["read"] = (value, version)
-
-    spawn(sim, script())
-    sim.run()
+    backup = cluster.backups[0]
+    session = client_session(
+        client,
+        read=lambda key, timeout: client.get(key, replica=backup,
+                                             timeout=300.0),
+    )
+    recorder = HistoryRecorder(sim)
+    first = drive(sim, (session, [put("k", "v1"), get("k")]),
+                  recorder=recorder)
     # The backup never saw the write (partitioned) -> read timed out.
-    history = cluster.recorder.history()
-    assert observed.get("read") is None
+    assert (first.ops_ok, first.ops_failed) == (1, 1)
     # Now heal and do a stale read: backup still behind until hints...
     # (no hints in PB; replication messages were dropped by partition)
     net.heal()
-    reads = {}
-
-    def script2():
-        value, version = yield client.get("k", replica=cluster.backups[0])
-        reads["r"] = (value, version)
-
-    spawn(sim, script2())
-    sim.run()
-    assert reads["r"] == (None, 0)  # stale: lost replication, no repair
-    history = cluster.recorder.history()
+    history = drive(sim, (session, [get("k")]), recorder=recorder).history
+    assert len(history) == 3
+    stale = max(history.reads(), key=lambda op: op.start)
+    # stale: lost replication, no repair
+    assert (stale.value, stale.version) == (None, 0)
     assert not check_read_your_writes(history).ok
     assert not check_linearizability(history).ok
 
 
 def test_primary_reads_linearizable_under_concurrency():
     sim, _net, cluster = make_cluster(mode="sync", latency=3.0, seed=7)
-    writer = cluster.connect(session="writer")
-    reader = cluster.connect(session="reader")
-
-    def write_loop():
-        for i in range(10):
-            yield writer.put("k", f"v{i}")
-            yield 5.0
-
-    def read_loop():
-        for _ in range(15):
-            yield reader.get("k")
-            yield 4.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    history = cluster.recorder.history()
+    writer = client_session(cluster.connect(session="writer"))
+    reader = client_session(cluster.connect(session="reader"))
+    history = drive(
+        sim,
+        (writer,
+         [op for i in range(10) for op in (put("k", f"v{i}"), sleep(5.0))]),
+        (reader, [get("k"), sleep(4.0)] * 15),
+    ).history
+    assert len(history) == len(history.completed) == 25
     assert check_linearizability(history).ok
 
 

@@ -7,6 +7,8 @@ from repro.errors import QuorumError, TimeoutError as ReproTimeoutError
 from repro.replication import DynamoCluster
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
 
+from .drive import client_session, drive, get, put, sleep
+
 
 def make_cluster(seed=0, latency=2.0, **kwargs):
     sim = Simulator(seed=seed)
@@ -42,25 +44,14 @@ def test_put_then_get_sees_value_with_strong_quorum():
 def test_rw_quorum_overlap_yields_linearizable_history():
     # R + W > N on a healthy cluster: overlapping quorums.
     sim, _net, cluster = make_cluster(r=2, w=2, seed=3)
-    client_a = cluster.connect(session="a")
-    client_b = cluster.connect(session="b")
-
-    def writer(out, client):
-        for i in range(8):
-            yield client.put("k", i)
-            yield 10.0
-
-    def reader(out, client):
-        yield 5.0
-        for _ in range(10):
-            yield client.get("k")
-            yield 9.0
-
-    spawn(sim, writer({}, client_a))
-    spawn(sim, reader({}, client_b))
-    sim.run()
-    history = cluster.history()
-    assert len(history.completed) == 18
+    writer = client_session(cluster.connect(session="a"))
+    reader = client_session(cluster.connect(session="b"))
+    history = drive(
+        sim,
+        (writer, [op for i in range(8) for op in (put("k", i), sleep(10.0))]),
+        (reader, [sleep(5.0)] + [get("k"), sleep(9.0)] * 10),
+    ).history
+    assert len(history) == len(history.completed) == 18
     assert check_linearizability(history).ok
 
 
@@ -80,24 +71,16 @@ def test_r1_w1_reads_can_be_stale():
             sim, net, nodes=5, n=3, r=1, w=1,
             coordinator_policy="random", read_repair=False,
         )
-        writer = cluster.connect(session="w")
-        reader = cluster.connect(session="r")
-
-        def write_loop(client):
-            for i in range(30):
-                yield client.put("hot", i)
-                yield 5.0
-
-        def read_loop(client):
-            yield 3.0
-            for _ in range(40):
-                yield client.get("hot")
-                yield 4.0
-
-        spawn(sim, write_loop(writer))
-        spawn(sim, read_loop(reader))
-        sim.run()
-        fractions.append(stale_read_fraction(cluster.history()))
+        writer = client_session(cluster.connect(session="w"))
+        reader = client_session(cluster.connect(session="r"))
+        history = drive(
+            sim,
+            (writer,
+             [op for i in range(30) for op in (put("hot", i), sleep(5.0))]),
+            (reader, [sleep(3.0)] + [get("hot"), sleep(4.0)] * 40),
+        ).history
+        assert len(history) == 70
+        fractions.append(stale_read_fraction(history))
     assert sum(fractions) > 0.0
     assert max(fractions) < 0.5  # mostly fresh, as PBS predicts
 
@@ -207,16 +190,12 @@ def test_anti_entropy_sweep_converges_snapshots():
 
 def test_history_densifies_stamps_to_versions():
     sim, _net, cluster = make_cluster(r=2, w=2)
-    client = cluster.connect()
-
-    def script(out, client):
-        for i in range(3):
-            yield client.put("k", f"v{i}")
-        out["read"] = yield client.get("k")
-
-    run_script(sim, client, script)
-    history = cluster.history()
-    writes = [op for op in history.writes()]
+    client = client_session(cluster.connect())
+    history = drive(
+        sim, (client, [put("k", f"v{i}") for i in range(3)] + [get("k")]),
+    ).history
+    assert len(history) == 4
+    writes = history.writes()
     assert sorted(op.version for op in writes) == [1, 2, 3]
     reads = history.reads()
     assert reads[0].version == 3
@@ -237,19 +216,16 @@ def test_lamport_stamps_give_total_order_across_coordinators():
     sim, _net, cluster = make_cluster(
         r=2, w=2, coordinator_policy="random", seed=9,
     )
-    clients = [cluster.connect(session=f"s{i}") for i in range(3)]
-
-    def script(out, client):
-        for i in range(4):
-            yield client.put("shared", (client.session, i))
-            yield 7.0
-
-    for client in clients:
-        spawn(sim, script({}, client))
-    sim.run()
+    lanes = [
+        (client_session(cluster.connect(session=f"s{i}")),
+         [op for n in range(4) for op in (put("shared", (f"s{i}", n)),
+                                          sleep(7.0))])
+        for i in range(3)
+    ]
+    history = drive(sim, *lanes).history
     cluster.anti_entropy_sweep()
     snapshots = cluster.snapshots()
     assert all(s == snapshots[0] for s in snapshots)
-    history = cluster.history()
+    assert len(history) == 12
     versions = [op.version for op in history.writes()]
     assert len(versions) == len(set(versions)) == 12

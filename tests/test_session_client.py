@@ -5,8 +5,11 @@ import pytest
 from repro.checkers import check_monotonic_reads, check_read_your_writes
 from repro.client import SessionClient, timeline_session
 from repro.errors import TimeoutError as ReproTimeoutError
+from repro.histories import HistoryRecorder
 from repro.replication import TimelineCluster
 from repro.sim import FixedLatency, Future, Network, Simulator, spawn
+
+from .drive import client_session, drive, get, put, sleep
 
 
 def make_timeline(seed=0, propagation_delay=100.0, latency=3.0):
@@ -20,6 +23,38 @@ def make_timeline(seed=0, propagation_delay=100.0, latency=3.0):
 def non_master_home(cluster, key="k"):
     master = cluster.master_of(key)
     return next(n for n in cluster.node_ids if n != master)
+
+
+def session_lane(raw, session):
+    """A driver session issuing ``session``'s reads and writes: the
+    driver's history is what the application saw."""
+    return client_session(
+        raw,
+        write=lambda key, value, timeout: session.write(key, value),
+        read=lambda key, timeout: session.read(key),
+    )
+
+
+def recorded(recorder, raw, kind, fn):
+    """``fn`` (a raw timeline call) that also records into ``recorder``
+    every reply the store gave, stale or not."""
+    def call(key, *args):
+        handle = recorder.begin(kind, key, raw.session)
+        future = fn(key, *args)
+
+        def done(future):
+            if future.error is not None:
+                recorder.fail(handle)
+            elif kind == "write":
+                recorder.complete_token(handle, future.value, args[0])
+            else:
+                value, version = future.value
+                recorder.complete_token(handle, version, value)
+
+        future.add_callback(done)
+        return future
+
+    return call
 
 
 def test_unknown_guarantee_rejected():
@@ -51,40 +86,42 @@ def test_without_guarantees_stale_read_accepted():
     sim, _net, cluster = make_timeline()
     raw = cluster.connect(home=non_master_home(cluster))
     session = timeline_session(raw, guarantees=())
-    out = {}
-
-    def script():
-        yield session.write("k", "mine")
-        out["read"] = yield session.read("k")
-
-    spawn(sim, script())
-    sim.run()
-    assert out["read"] == (None, 0)  # stale accepted, no retries
-    assert session.stats.read_retries == 0
-    history = cluster.recorder.history()
+    history = drive(
+        sim, (session_lane(raw, session), [put("k", "mine"), get("k")]),
+    ).history
+    assert len(history) == 2
+    (read,) = history.reads()
+    assert (read.value, read.version) == (None, 0)  # stale accepted
+    assert session.stats.read_retries == 0          # ... with no retries
     assert not check_read_your_writes(history).ok
 
 
 def test_session_history_passes_checkers_with_guarantees():
     sim, _net, cluster = make_timeline(seed=2, propagation_delay=60.0)
     raw = cluster.connect(home=non_master_home(cluster))
-    session = timeline_session(raw, guarantees=("ryw", "mr"), retry_delay=10.0)
-
-    def script():
-        for i in range(5):
-            yield session.write("k", i)
-            yield session.read("k")
-            yield 20.0
-
-    spawn(sim, script())
-    sim.run()
+    store_level = HistoryRecorder(sim)
+    session = SessionClient(
+        sim,
+        recorded(store_level, raw, "read", raw.read_any),
+        recorded(store_level, raw, "write", raw.write),
+        guarantees=("ryw", "mr"),
+        retry_delay=10.0,
+    )
     # The *session-level* history (accepted replies only) is clean...
-    history = session.history()
+    history = drive(
+        sim,
+        (session_lane(raw, session),
+         [op for i in range(5) for op in (put("k", i), get("k"),
+                                          sleep(20.0))]),
+    ).history
+    assert len(history) == len(history.completed) == 10
     assert check_read_your_writes(history).ok
     assert check_monotonic_reads(history).ok
     # ...while the raw store history shows the stale replies the
     # floors rejected — the enforcement is real work, not luck.
-    assert not check_read_your_writes(cluster.recorder.history()).ok
+    raw_history = store_level.history()
+    assert len(raw_history) == 10 + session.stats.read_retries
+    assert not check_read_your_writes(raw_history).ok
 
 
 def test_monotonic_reads_floor_advances():

@@ -14,7 +14,9 @@ from repro import Network, RetryPolicy, Simulator, spawn
 from repro.api import ConsistentStore, registry
 from repro.errors import ReproError
 from repro.errors import TimeoutError as ReproTimeoutError
+from repro.sharding import ShardedStore
 from repro.sim import FixedLatency
+from repro.workload import OpSpec, run_workload
 
 #: Adapter-specific knobs so the same conformance script runs
 #: everywhere: session options, a settle pause before reading, and a
@@ -333,15 +335,27 @@ def test_idempotent_retry_applies_once(name):
         assert seen["read_token"] == seen["put_token"]
 
 
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
+@pytest.mark.parametrize("name", ALL_PROTOCOLS + ["sharded"])
 def test_history_or_driver_history(name):
-    """Stores either keep a checkable server-side history or declare
-    they do not (the driver's client-side history covers the rest)."""
+    """The driver's history is the one history pipeline, for every
+    registered adapter, the cache tier and a 2-shard router alike: it
+    holds every op each lane issued."""
     sim = Simulator(seed=2)
-    store = build_store(name, sim)
-    if store.capabilities.has_history:
-        history = store.history()
-        assert len(history) == 0
+    if name == "sharded":
+        store = ShardedStore(sim, Network(sim, latency=FixedLatency(2.0)),
+                             protocol="quorum", shards=2, nodes_per_shard=3)
     else:
-        with pytest.raises(NotImplementedError):
-            store.history()
+        store = build_store(name, sim)
+    ops = [
+        OpSpec("update", f"k{i % 3}", f"v{i}") if i % 2 == 0
+        else OpSpec("read", f"k{i % 3}")
+        for i in range(12)
+    ]
+    result = run_workload(store, ops, clients=3)
+    history = result.history
+    assert result.ops_total == 12
+    assert len(history) == result.ops_total
+    assert {op.session for op in history} == {
+        lane.name for lane in result.lanes
+    }
+    assert len(history.writes()) == 6

@@ -13,6 +13,8 @@ from repro.errors import NotLeaderError
 from repro.replication import ChainCluster, TimelineCluster
 from repro.sim import FixedLatency, Network, Simulator, spawn
 
+from .drive import client_session, drive, get, put, sleep
+
 
 def make_timeline(seed=0, latency=3.0, **kwargs):
     sim = Simulator(seed=seed)
@@ -118,16 +120,14 @@ def test_read_critical_gives_ryw_and_monotonic_reads():
     master = cluster.master_of("rec")
     others = [n for n in cluster.node_ids if n != master]
     client = cluster.connect(home=others[0])
-
-    def script():
-        for i in range(5):
-            yield client.write("rec", i)
-            yield client.read_critical("rec")
-            yield 10.0
-
-    spawn(sim, script())
-    sim.run()
-    history = cluster.recorder.history()
+    session = client_session(client, write=client.write,
+                             read=client.read_critical)
+    history = drive(
+        sim,
+        (session, [op for i in range(5)
+                   for op in (put("rec", i), get("rec"), sleep(10.0))]),
+    ).history
+    assert len(history) == 10
     assert check_read_your_writes(history).ok
     assert check_monotonic_reads(history).ok
 
@@ -137,36 +137,32 @@ def test_read_any_violates_ryw_under_lag():
     master = cluster.master_of("rec")
     others = [n for n in cluster.node_ids if n != master]
     client = cluster.connect(home=others[0])
-
-    def script():
-        for i in range(4):
-            yield client.write("rec", i)
-            yield client.read_any("rec")
-            yield 5.0
-
-    spawn(sim, script())
-    sim.run()
-    history = cluster.recorder.history()
+    session = client_session(client, write=client.write, read=client.read_any)
+    history = drive(
+        sim,
+        (session, [op for i in range(4)
+                   for op in (put("rec", i), get("rec"), sleep(5.0))]),
+    ).history
+    assert len(history) == 8
     assert not check_read_your_writes(history).ok
     assert stale_read_fraction(history) > 0
 
 
 def test_timeline_never_forks_replicas_converge():
     sim, _net, cluster = make_timeline(propagation_delay=30.0, seed=4)
-    clients = [cluster.connect(session=f"s{i}") for i in range(3)]
-
-    def script(client, base):
-        for i in range(5):
-            yield client.write("rec", f"{client.session}-{i}")
-            yield 7.0
-
-    for index, client in enumerate(clients):
-        spawn(sim, script(client, index))
-    sim.run()
+    lanes = []
+    for index in range(3):
+        client = cluster.connect(session=f"s{index}")
+        lanes.append((
+            client_session(client, write=client.write, read=client.read_any),
+            [op for i in range(5)
+             for op in (put("rec", f"s{index}-{i}"), sleep(7.0))],
+        ))
+    history = drive(sim, *lanes).history
     sim.run(until=sim.now + 500.0)
     assert check_convergence(cluster.snapshots()).ok
     # All versions 1..15 were assigned exactly once (single master).
-    history = cluster.recorder.history()
+    assert len(history) == 15
     versions = sorted(op.version for op in history.writes())
     assert versions == list(range(1, 16))
 
@@ -252,24 +248,15 @@ def test_chain_reads_only_at_tail_writes_only_at_head():
 
 def test_chain_history_linearizable():
     sim, _net, cluster = make_chain(seed=5, latency=4.0, nodes=4)
-    writer = cluster.connect(session="w")
-    reader = cluster.connect(session="r")
-
-    def write_loop():
-        for i in range(6):
-            yield writer.put("k", i)
-            yield 6.0
-
-    def read_loop():
-        yield 3.0
-        for _ in range(8):
-            yield reader.get("k")
-            yield 5.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    assert check_linearizability(cluster.recorder.history()).ok
+    writer = client_session(cluster.connect(session="w"))
+    reader = client_session(cluster.connect(session="r"))
+    history = drive(
+        sim,
+        (writer, [op for i in range(6) for op in (put("k", i), sleep(6.0))]),
+        (reader, [sleep(3.0)] + [get("k"), sleep(5.0)] * 8),
+    ).history
+    assert len(history) == len(history.completed) == 14
+    assert check_linearizability(history).ok
 
 
 def test_single_node_chain_works():
