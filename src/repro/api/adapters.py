@@ -361,20 +361,12 @@ class CausalStore(ConsistentStore):
             self._next_home += 1
         client = self.cluster.connect(home=home, session=name, **opts)
         _apply_retry(client, retry, self.retry)
+        # Replies already have the session's shapes: rank, (value, rank).
         return FnSession(
             client.session,
-            put_fn=lambda k, v, t: mapped_future(
-                self.sim, client.put(k, v, timeout=t),
-                lambda rank: tuple(rank),
-            ),
+            put_fn=lambda k, v, t: client.put(k, v, timeout=t),
             read_fns={
-                "local": lambda k, t: mapped_future(
-                    self.sim, client.get(k, timeout=t),
-                    lambda reply: (
-                        reply[0],
-                        tuple(reply[1]) if reply[1] is not None else None,
-                    ),
-                ),
+                "local": lambda k, t: client.get(k, timeout=t),
             },
             default_mode="local",
             client_id=client.node_id,

@@ -15,6 +15,9 @@ set for one key at one replica — with the two server operations:
   causal context the client last read.
 * :meth:`DottedValueSet.sync` — merge the sets of two replicas
   (anti-entropy / read repair).
+
+Sets are immutable values: replicas share them by reference, and a
+join may return one of its operands.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
-from .vector import VectorClock
+from .vector import EMPTY_CLOCK, VectorClock
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class DottedValueSet:
         clock: VectorClock | None = None,
     ) -> None:
         self.versions = versions
-        self.clock = clock if clock is not None else VectorClock()
+        self.clock = clock if clock is not None else EMPTY_CLOCK
 
     # ------------------------------------------------------------------
     def context(self) -> VectorClock:
@@ -84,6 +87,15 @@ class DottedValueSet:
 
     def is_empty(self) -> bool:
         return not self.versions
+
+    def wire_form(self) -> tuple[tuple, dict]:
+        """The set as plain data, which is what the network prices:
+        ``((replica, counter), context entries, value)`` per version."""
+        versions = tuple([
+            ((v.dot.replica, v.dot.counter), dict(v.context._counts), v.value)
+            for v in self.versions
+        ])
+        return versions, dict(self.clock._counts)
 
     # ------------------------------------------------------------------
     def put(
@@ -98,7 +110,7 @@ class DottedValueSet:
         counter = self.clock[replica] + 1
         dot = Dot(replica, counter)
         new_clock = self.clock.merge(client_context).merge(
-            VectorClock({replica: counter})
+            VectorClock._trusted({replica: counter})
         )
         survivors = tuple(
             v for v in self.versions if not v.covered_by(client_context)
@@ -110,8 +122,12 @@ class DottedValueSet:
         """Merge two replicas' sets (commutative, associative, idempotent).
 
         A version survives iff the *other* side has not seen its dot, or
-        both sides store it.
+        both sides store it.  Returns ``self`` when ``other`` equals it.
         """
+        if other is self or (
+            self.clock == other.clock and self.versions == other.versions
+        ):
+            return self
         mine = {v.dot: v for v in self.versions}
         theirs = {v.dot: v for v in other.versions}
         keep: dict[Dot, DottedVersion] = {}
@@ -119,9 +135,8 @@ class DottedValueSet:
             if dot in theirs or not version.covered_by(other.clock):
                 keep[dot] = version
         for dot, version in theirs.items():
-            if dot in keep:
-                continue
-            if dot in mine or not version.covered_by(self.clock):
+            # A dot both sides store was kept above.
+            if dot not in mine and not version.covered_by(self.clock):
                 keep[dot] = version
         merged_clock = self.clock.merge(other.clock)
         ordered = tuple(

@@ -8,7 +8,8 @@ siblings (MV-register), or merge (CRDT).
 
 Vector clocks here are immutable value objects: every mutation returns
 a new clock.  That keeps them safe to embed in messages and recorded
-histories without defensive copying.
+histories without defensive copying.  A join may return one of its
+operands, so compare clocks with ``==``, never by identity.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ class VectorClock(Mapping[Hashable, int]):
         }
         self._hash: int | None = None
 
+    @classmethod
+    def _trusted(cls, counts: dict[Hashable, int]) -> "VectorClock":
+        """Own a freshly built dict of positive counts: no copy, no checks."""
+        clock = object.__new__(cls)
+        clock._counts = counts
+        clock._hash = None
+        return clock
+
     # -- Mapping protocol ------------------------------------------------
     def __getitem__(self, node: Hashable) -> int:
         return self._counts.get(node, 0)
@@ -77,15 +86,19 @@ class VectorClock(Mapping[Hashable, int]):
         """Return a clock with ``node``'s entry incremented."""
         counts = dict(self._counts)
         counts[node] = counts.get(node, 0) + 1
-        return VectorClock(counts)
+        return VectorClock._trusted(counts)
 
     def merge(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise maximum — the join of the causal lattice."""
-        counts = dict(self._counts)
+        """Pointwise maximum — the join of the causal lattice (``self``
+        when ``other`` adds nothing)."""
+        mine = self._counts
+        counts = None
         for node, count in other._counts.items():
-            if count > counts.get(node, 0):
+            if count > mine.get(node, 0):
+                if counts is None:
+                    counts = dict(mine)
                 counts[node] = count
-        return VectorClock(counts)
+        return self if counts is None else VectorClock._trusted(counts)
 
     def compare(self, other: "VectorClock") -> Ordering:
         """Compare under the happened-before partial order."""

@@ -12,6 +12,10 @@ optionally read-repairing stale replicas with the merged set; the
 write path mints a new dotted version at the coordinator that
 supersedes exactly what the client's context covers.
 
+Messages carry the sender's :class:`~repro.clocks.DottedValueSet`
+itself, shared by reference: safe only because sets, versions and
+clocks are immutable values, so nothing here may ever mutate one.
+
 Use :class:`SiblingDynamoCluster` when the application can merge
 (carts, sets); use the LWW cluster when it can't.  The "LWW loses
 writes / siblings keep them" ablation is measured in
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..clocks import DottedValueSet, DottedVersion, Dot, VectorClock
+from ..clocks import DottedValueSet, VectorClock
 from ..errors import QuorumError
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
@@ -36,7 +40,7 @@ class SibPut:
 
     key: Hashable
     value: Any
-    context: dict      # VectorClock entries (plain dict on the wire)
+    context: dict      # the client's VectorClock entries, as a plain dict
 
 
 @dataclass
@@ -48,8 +52,7 @@ class SibGet:
 class SibStoreMsg:
     op_id: int
     key: Hashable
-    versions: tuple    # tuple[(dot, context-entries, value)]
-    clock: dict
+    entry: DottedValueSet    # the sender's set, shared (never mutated)
     hint_for: Hashable | None = None
 
 
@@ -68,28 +71,10 @@ class SibFetchMsg:
 class SibFetchReply:
     op_id: int
     key: Hashable
-    versions: tuple
-    clock: dict
+    entry: DottedValueSet    # the replica's stored set, shared
 
 
-def _encode(entry: DottedValueSet) -> tuple[tuple, dict]:
-    versions = tuple(
-        ((v.dot.replica, v.dot.counter), v.context.entries(), v.value)
-        for v in entry.versions
-    )
-    return versions, entry.clock.entries()
-
-
-def _decode(versions: tuple, clock: dict) -> DottedValueSet:
-    decoded = tuple(
-        DottedVersion(
-            dot=Dot(replica, counter),
-            context=VectorClock(context),
-            value=value,
-        )
-        for (replica, counter), context, value in versions
-    )
-    return DottedValueSet(decoded, VectorClock(clock))
+_EMPTY = DottedValueSet()
 
 
 @dataclass
@@ -99,8 +84,7 @@ class _Op:
     future: Future
     needed: int
     targets: set
-    payload_versions: tuple = ()
-    payload_clock: dict = field(default_factory=dict)
+    entry: DottedValueSet = _EMPTY   # what a write replicates
     acks: int = 0
     replies: list = field(default_factory=list)
     responded: set = field(default_factory=set)
@@ -127,7 +111,7 @@ class SiblingDynamoNode(ServerNode):
 
     # -- local storage ----------------------------------------------------
     def entry(self, key: Hashable) -> DottedValueSet:
-        return self.data.get(key, DottedValueSet())
+        return self.data.get(key, _EMPTY)
 
     def merge_entry(self, key: Hashable, remote: DottedValueSet) -> None:
         self.data[key] = self.entry(key).sync(remote)
@@ -157,7 +141,6 @@ class SiblingDynamoNode(ServerNode):
             self.node_id, payload.value, context
         )
         self.data[payload.key] = updated
-        versions, clock = _encode(updated)
 
         cluster = self.cluster
         targets = cluster.ring.preference_list(payload.key, cluster.n)
@@ -165,20 +148,19 @@ class SiblingDynamoNode(ServerNode):
         future = Future(self.sim, label=f"sput#{op_id}")
         op = _Op(
             kind="write", key=payload.key, future=future, needed=cluster.w,
-            targets=set(targets), payload_versions=versions,
-            payload_clock=dict(updated.context().entries()),
+            targets=set(targets), entry=updated,
         )
         self._ops[op_id] = op
         if self.node_id in op.targets:
             # The coordinator is a home replica and already stored.
             op.responded.add(self.node_id)
             op.acks += 1
-        message = SibStoreMsg(op_id, payload.key, versions, clock)
+        message = SibStoreMsg(op_id, payload.key, updated)
         for target in targets:
             if target != self.node_id:
                 self.send(target, message)
         if op.acks >= op.needed:
-            future.resolve(dict(op.payload_clock))
+            future.resolve(updated.context().entries())
             cluster._c_writes_succeeded.inc()
             return future
         self.set_timer(cluster.replica_timeout, self._write_fallback, op_id)
@@ -195,24 +177,23 @@ class SiblingDynamoNode(ServerNode):
             targets=set(targets),
         )
         self._ops[op_id] = op
+        message = SibFetchMsg(op_id, payload.key)
         for target in targets:
-            self.send(target, SibFetchMsg(op_id, payload.key))
+            self.send(target, message)
         self.set_timer(cluster.op_deadline, self._expire, op_id)
         return future
 
     # -- replica side -----------------------------------------------------
     def handle_SibStoreMsg(self, src: Hashable, msg: SibStoreMsg) -> None:
-        remote = _decode(msg.versions, msg.clock)
         if msg.hint_for is not None and msg.hint_for != self.node_id:
             slot = self.hints.setdefault(msg.hint_for, {})
-            slot[msg.key] = slot.get(msg.key, DottedValueSet()).sync(remote)
+            slot[msg.key] = slot.get(msg.key, _EMPTY).sync(msg.entry)
         else:
-            self.merge_entry(msg.key, remote)
+            self.merge_entry(msg.key, msg.entry)
         self.send(src, SibStoreAck(msg.op_id))
 
     def handle_SibFetchMsg(self, src: Hashable, msg: SibFetchMsg) -> None:
-        versions, clock = _encode(self.entry(msg.key))
-        self.send(src, SibFetchReply(msg.op_id, msg.key, versions, clock))
+        self.send(src, SibFetchReply(msg.op_id, msg.key, self.entry(msg.key)))
 
     # -- ack collection ------------------------------------------------------
     def handle_SibStoreAck(self, src: Hashable, msg: SibStoreAck) -> None:
@@ -223,7 +204,7 @@ class SiblingDynamoNode(ServerNode):
         op.acks += 1
         if op.acks >= op.needed and not op.future.done:
             # Reply with the new causal context for chaining writes.
-            op.future.resolve(dict(op.payload_clock))
+            op.future.resolve(op.entry.context().entries())
             self.cluster._c_writes_succeeded.inc()
 
     def handle_SibFetchReply(self, src: Hashable, msg: SibFetchReply) -> None:
@@ -231,9 +212,9 @@ class SiblingDynamoNode(ServerNode):
         if op is None or op.kind != "read" or src in op.responded:
             return
         op.responded.add(src)
-        op.replies.append((src, _decode(msg.versions, msg.clock)))
+        op.replies.append((src, msg.entry))
         if len(op.replies) >= op.needed and not op.future.done:
-            merged = DottedValueSet()
+            merged = _EMPTY
             for _src, entry in op.replies:
                 merged = merged.sync(entry)
             op.future.resolve(
@@ -243,13 +224,12 @@ class SiblingDynamoNode(ServerNode):
                 self._read_repair(op, merged)
 
     def _read_repair(self, op: _Op, merged: DottedValueSet) -> None:
-        versions, clock = _encode(merged)
         repair_id = self._next_op()
         for src, entry in op.replies:
             if entry.clock != merged.clock or len(entry.versions) != len(
                 merged.versions
             ):
-                self.send(src, SibStoreMsg(repair_id, op.key, versions, clock))
+                self.send(src, SibStoreMsg(repair_id, op.key, merged))
                 self.cluster._c_read_repairs.inc()
 
     # -- sloppy quorum ------------------------------------------------------
@@ -266,8 +246,7 @@ class SiblingDynamoNode(ServerNode):
         for home, stand_in in zip(sorted(missing, key=str), stand_ins):
             self.send(
                 stand_in,
-                SibStoreMsg(op_id, op.key, op.payload_versions,
-                            op.payload_clock, hint_for=home),
+                SibStoreMsg(op_id, op.key, op.entry, hint_for=home),
             )
             self.cluster._c_hinted_writes.inc()
 
@@ -278,10 +257,7 @@ class SiblingDynamoNode(ServerNode):
                 continue
             for key, entry in list(entries.items()):
                 if self.network.reachable(self.node_id, home):
-                    versions, clock = _encode(entry)
-                    self.send(
-                        home, SibStoreMsg(self._next_op(), key, versions, clock)
-                    )
+                    self.send(home, SibStoreMsg(self._next_op(), key, entry))
                     del entries[key]
                     self.cluster._c_hints_delivered.inc()
 

@@ -162,7 +162,8 @@ def estimate_size(obj: Any) -> int:
     Used for the bandwidth comparisons (Merkle vs. full-state
     anti-entropy, state- vs. delta-CRDT shipping).  The estimate is a
     simple recursive model — 8 bytes per number, string/bytes length,
-    container overhead — deliberately deterministic and cheap.
+    container overhead — deliberately deterministic and cheap.  A value
+    shipped by reference is priced by its ``wire_form()``, if it has one.
     """
     if obj is None or isinstance(obj, bool):
         return 1
@@ -176,6 +177,9 @@ def estimate_size(obj: Any) -> int:
         return 4 + sum(estimate_size(k) + estimate_size(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return 4 + sum(estimate_size(item) for item in obj)
+    wire_form = getattr(obj, "wire_form", None)
+    if wire_form is not None:
+        return estimate_size(wire_form())
     if hasattr(obj, "__dict__"):
         return 8 + estimate_size(vars(obj))
     if is_dataclass(obj):

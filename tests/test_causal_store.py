@@ -8,6 +8,7 @@ from repro.checkers import (
     check_convergence,
     check_linearizability,
 )
+from repro.api import registry
 from repro.replication import CausalCluster
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
 
@@ -34,6 +35,29 @@ def test_local_write_read_roundtrip():
     sim.run()
     value, rank = out["read"]
     assert value == "v" and rank is not None
+
+
+def test_session_put_and_get_resolve_rank_tuples():
+    """The causal adapter hands the replica's replies straight through:
+    a put resolves with its ``(vector sum, origin)`` rank tuple, a read
+    with ``(value, rank)`` or ``(None, None)`` for a missing key."""
+    sim = Simulator(seed=0)
+    net = Network(sim, latency=FixedLatency(10.0))
+    session = registry.get("causal").build(sim, net, nodes=3).session(
+        "s", home="cc0")
+    out = {}
+
+    def script():
+        out["missing"] = yield session.get("k")
+        out["put"] = yield session.put("k", "v")
+        out["read"] = yield session.get("k")
+
+    spawn(sim, script())
+    sim.run()
+    assert out["missing"] == (None, None)
+    assert out["put"] == (1, "cc0") and type(out["put"]) is tuple
+    value, rank = out["read"]
+    assert value == "v" and rank == out["put"] and type(rank) is tuple
 
 
 def test_writes_propagate_and_converge():

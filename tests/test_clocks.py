@@ -124,6 +124,24 @@ def test_merge_is_least_upper_bound(v, w):
 
 
 @given(clock_st, clock_st)
+def test_merge_is_pointwise_max_and_reuses_a_dominating_side(v, w):
+    m = v.merge(w)
+    assert m == VectorClock({n: max(v[n], w[n]) for n in set(v) | set(w)})
+    if v.dominates(w):
+        assert m is v
+
+
+def test_vector_clock_copies_the_dict_it_is_given():
+    counts = {"a": 1, "b": 2}
+    v = VectorClock(counts)
+    counts["a"] = 7
+    counts["c"] = 1
+    del counts["b"]
+    assert v.entries() == {"a": 1, "b": 2}
+    assert v == VectorClock({"a": 1, "b": 2})
+
+
+@given(clock_st, clock_st)
 def test_compare_antisymmetric(v, w):
     cv, cw = v.compare(w), w.compare(v)
     flip = {
@@ -266,6 +284,67 @@ def test_dvv_blind_writes_legitimately_accumulate():
     for i in range(5):
         s = s.put("r1", i, VectorClock())
     assert len(s.values()) == 5
+
+
+REPLICAS = ("r0", "r1", "r2")
+
+# One step of a three-replica trace: ("put", at, read-from) writes at
+# replica ``at`` with the context read from replica ``read-from`` (whose
+# set may lag or lead ``at``'s), or None for a blind write;
+# ("sync", at, other) merges ``other``'s set into ``at``'s.
+step_st = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 2),
+              st.one_of(st.none(), st.integers(0, 2))),
+    st.tuples(st.just("sync"), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@st.composite
+def replica_sets_st(draw):
+    """The three replicas' sets after a random put/sync trace."""
+    sets = [DottedValueSet() for _ in REPLICAS]
+    for i, (kind, at, other) in enumerate(draw(st.lists(step_st,
+                                                         max_size=14))):
+        if kind == "sync":
+            sets[at] = sets[at].sync(sets[other])
+        else:
+            context = VectorClock() if other is None else sets[other].context()
+            sets[at] = sets[at].put(REPLICAS[at], i, context)
+    return sets
+
+
+def dvv_state(s):
+    """A set's value, independent of version order."""
+    dots = sorted(
+        (str(v.dot.replica), v.dot.counter, v.value) for v in s.versions
+    )
+    return dots, s.clock
+
+
+@given(replica_sets_st())
+@settings(max_examples=150)
+def test_dvv_sync_commutative_over_traces(sets):
+    a, b, c = sets
+    for x, y in ((a, b), (b, c), (a, c)):
+        assert dvv_state(x.sync(y)) == dvv_state(y.sync(x))
+
+
+@given(replica_sets_st())
+@settings(max_examples=150)
+def test_dvv_sync_associative_over_traces(sets):
+    a, b, c = sets
+    assert dvv_state(a.sync(b).sync(c)) == dvv_state(a.sync(b.sync(c)))
+
+
+@given(replica_sets_st())
+@settings(max_examples=150)
+def test_dvv_sync_idempotent_over_traces(sets):
+    for s in sets:
+        assert s.sync(s) is s
+        twin = DottedValueSet(tuple(s.versions), VectorClock(s.clock))
+        assert s.sync(twin) is s
+        merged = s.sync(sets[0])
+        assert dvv_state(merged.sync(sets[0])) == dvv_state(merged)
 
 
 # ----------------------------------------------------------------------

@@ -190,6 +190,43 @@ def test_sloppy_quorum_with_sibling_hints():
         assert cluster.node(home).entry("k").values() == ["v"]
 
 
+def test_shared_sets_keep_value_semantics():
+    """Replicas receive the coordinator's stored set by reference; a
+    later put at the coordinator must leave both the replica's stored
+    set and the message it received as they were."""
+    sim, _net, cluster = make_cluster()
+    coordinator, replica = cluster.ring.preference_list("k", cluster.n)[:2]
+    node = cluster.node(replica)
+    received = []
+    handle = node.handle_SibStoreMsg
+
+    def spy(src, msg):
+        received.append((msg, msg.entry.wire_form()))
+        handle(src, msg)
+
+    node.handle_SibStoreMsg = spy
+    client = cluster.connect(coordinator=coordinator)
+    out = {}
+
+    def script():
+        yield client.put("k", "v1")
+        yield 50.0
+        out["stored"] = node.entry("k")
+        out["wire"] = out["stored"].wire_form()
+        yield client.put("k", "v2")
+        yield 50.0
+
+    spawn(sim, script())
+    sim.run()
+    first, first_wire = received[0]
+    assert first.entry.wire_form() == first_wire
+    assert first.entry.values() == ["v1"]
+    assert out["stored"].wire_form() == out["wire"]
+    assert out["stored"].values() == ["v1"]
+    assert node.entry("k").values() == ["v2"]
+    assert cluster.node(coordinator).entry("k").values() == ["v2"]
+
+
 def test_strict_quorum_unavailable_when_homes_cut():
     sim, net, cluster = make_cluster(seed=8, sloppy=False)
     client = cluster.connect()

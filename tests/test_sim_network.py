@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clocks import DottedValueSet, VectorClock
 from repro.errors import NetworkError
 from repro.sim import (
     ExponentialLatency,
@@ -331,3 +332,11 @@ def test_estimate_size_handles_objects_and_none():
 
     assert estimate_size(None) == 1
     assert estimate_size(Thing()) > 8
+
+
+def test_estimate_size_prices_a_shared_set_by_its_wire_form():
+    s = DottedValueSet().put("r1", ["milk"], VectorClock())
+    s = s.put("r2", "eggs", VectorClock({"r1": 1}))
+    assert estimate_size(s) == estimate_size(s.wire_form())
+    assert estimate_size(DottedValueSet()) == estimate_size(
+        DottedValueSet().wire_form())
